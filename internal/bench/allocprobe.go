@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"hamster/internal/ivy"
 	"hamster/internal/machine"
 	"hamster/internal/memsim"
 	"hamster/internal/simnet"
@@ -11,12 +12,12 @@ import (
 )
 
 // Allocation probes for the hot paths the zero-copy work targets: one
-// remote page-fetch cycle, one simnet message send/receive, and one
-// scope-consistency release flushing K dirty pages. Each probe returns a
-// steady-state op plus a teardown; the same ops feed the
-// testing.AllocsPerRun regression gates (allocs_test.go), the -benchmem
-// microbenchmarks, and the BENCH_5 walltime report — so the gated number
-// is the reported number.
+// remote page-fetch cycle, one IVY read hit, one simnet message
+// send/receive, and one scope-consistency release flushing K dirty
+// pages. Each probe returns a steady-state op plus a teardown; the same
+// ops feed the testing.AllocsPerRun regression gates (allocs_test.go),
+// the -benchmem microbenchmarks, and the BENCH_5 walltime report — so
+// the gated number is the reported number.
 
 // pageFetchProbe builds a 2-node software DSM whose page cache is smaller
 // than the probed working set: every read from node 1 misses, fetches the
@@ -40,6 +41,25 @@ func pageFetchProbe() (op func(), close func(), err error) {
 			d.ReadF64(1, r.Base+memsim.Addr(i*memsim.PageSize))
 		}
 	}
+	return op, d.Close, nil
+}
+
+// ivyReadHitProbe builds a 2-node IVY cluster and faults one read copy of
+// a page homed at node 0 into node 1. One op is a per-word read of that
+// copy: a clock charge, a CPU-cache touch, and a read-set hit that takes
+// no lock and allocates nothing.
+func ivyReadHitProbe() (op func(), close func(), err error) {
+	d, err := ivy.New(ivy.Config{Nodes: 2})
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := d.Alloc(memsim.PageSize, "ivyreadhit", memsim.Fixed, 0)
+	if err != nil {
+		d.Close()
+		return nil, nil, err
+	}
+	d.ReadF64(1, r.Base)
+	op = func() { d.ReadF64(1, r.Base) }
 	return op, d.Close, nil
 }
 

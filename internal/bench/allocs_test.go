@@ -45,6 +45,21 @@ func TestPageFetchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestIVYReadHitZeroAlloc pins the IVY per-word read hit — clock charge,
+// CPU-cache touch, read-set lookup — at zero heap allocations.
+func TestIVYReadHitZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
+	op, close, err := ivyReadHitProbe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer close()
+	warm(op, 8)
+	if avg := testing.AllocsPerRun(50, op); avg != 0 {
+		t.Errorf("ivy read hit allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestMessageSendZeroAlloc pins the per-message simnet path — fault-state
 // load, stats, enqueue, dequeue, pool return — at zero steady-state heap
 // allocations.

@@ -3,6 +3,7 @@ package conscheck
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"hamster/internal/consengine"
 	"hamster/internal/ivy"
@@ -87,6 +88,37 @@ func TestLitmusEagerRC(t *testing.T) {
 // outcome (store buffering, IRIW disagreement) is forbidden for it.
 func TestLitmusIVY(t *testing.T) {
 	checkBattery(t, "ivy", buildIVY)
+}
+
+// TestLitmusIVYHomeFaultNoLivelock is the regression test for a home
+// node that faults on its own page while a remote request bootstraps it:
+// the fault loop used to re-ask itself forever. The racy litmus programs
+// hit that window often under the race detector, so many trials with a
+// deadline turn a livelock into a failure instead of a hung suite.
+func TestLitmusIVYHomeFaultNoLivelock(t *testing.T) {
+	const trials = 60
+	type result struct {
+		verdicts []Verdict
+		err      error
+	}
+	done := make(chan result, 1)
+	go func() {
+		v, err := RunBattery(buildIVY, trials)
+		done <- result{v, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		for _, v := range r.verdicts {
+			if !v.OK() {
+				t.Errorf("ivy: %s", v.String())
+			}
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("ivy battery of %d trials did not finish within 2m: a fault loop is livelocked", trials)
+	}
 }
 
 // TestLitmusIVYOnMultiDSM runs the battery on the multidsm substrate with

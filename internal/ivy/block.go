@@ -23,14 +23,8 @@ func (d *DSM) ReadF64Block(nodeID int, a memsim.Addr, dst []float64) {
 	clk := d.clocks[nodeID]
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
 		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		miss := n.touchLocal(p)
-		e := n.readableFrame(p)
-		memsim.GetF64Slice(e.data, off, dst[:count])
-		n.stats.Reads += uint64(count)
-		if miss {
-			n.stats.CacheMisses++
-		}
-		n.mu.Unlock()
+		n.countRead(uint64(count), n.touchLocal(p))
+		memsim.GetF64Slice(n.readable(p), off, dst[:count])
 		dst = dst[count:]
 	})
 }
@@ -65,14 +59,8 @@ func (d *DSM) ReadI64Block(nodeID int, a memsim.Addr, dst []int64) {
 	clk := d.clocks[nodeID]
 	memsim.WordRuns(a, len(dst), func(p memsim.PageID, off, count int) {
 		clk.AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*vclock.Duration(count))
-		miss := n.touchLocal(p)
-		e := n.readableFrame(p)
-		memsim.GetI64Slice(e.data, off, dst[:count])
-		n.stats.Reads += uint64(count)
-		if miss {
-			n.stats.CacheMisses++
-		}
-		n.mu.Unlock()
+		n.countRead(uint64(count), n.touchLocal(p))
+		memsim.GetI64Slice(n.readable(p), off, dst[:count])
 		dst = dst[count:]
 	})
 }

@@ -24,10 +24,12 @@
 // installs set a pending flag instead, and handlers wait on the node's
 // condition variable until the invalidation round completes, so requests
 // observe either the pre-transfer or post-transfer state, never the
-// middle. Ownership chase lengths under contention depend on goroutine
-// scheduling, so message counts and virtual times of contended runs are
-// schedule-dependent; checksums are not (the protocol is coherent under
-// every schedule).
+// middle. Read hits skip the mutex: each node's goroutine keeps a small
+// read set validated against a state generation that every page-state
+// transition bumps under the mutex (see node.readable). Ownership chase
+// lengths under contention depend on goroutine scheduling, so message
+// counts and virtual times of contended runs are schedule-dependent;
+// checksums are not (the protocol is coherent under every schedule).
 package ivy
 
 import (
@@ -35,6 +37,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"hamster/internal/amsg"
 	"hamster/internal/consengine"
@@ -131,6 +134,18 @@ type DSM struct {
 	rec *perfmon.Recorder // protocol event recorder; nil until attached
 }
 
+// readFrame is one entry of a node's recently read set: a page's local
+// copy as resolved at state generation gen.
+type readFrame struct {
+	page memsim.PageID
+	gen  uint64
+	data []byte
+}
+
+// readWays is the size of the per-node read set, the same four ways as
+// the scope engine's fast-frame set.
+const readWays = 4
+
 type node struct {
 	id  int
 	dsm *DSM
@@ -144,6 +159,19 @@ type node struct {
 	cond  *sync.Cond
 	pages map[memsim.PageID]*ipage
 	stats platform.Stats
+
+	// gen is the node's page-state generation. Every transition of any
+	// local entry (install, bootstrap, grant, invalidation) bumps it
+	// under mu, so a read-set entry is valid exactly while its gen
+	// matches. It starts at 1 so a zero readFrame never matches.
+	gen atomic.Uint64
+
+	// Owner-goroutine state: the read set and the read-side counters,
+	// touched without mu and folded into NodeStats.
+	rset   [readWays]readFrame
+	rnext  int
+	reads  uint64
+	misses uint64
 }
 
 // New builds an IVY cluster.
@@ -201,6 +229,7 @@ func New(cfg Config) (*DSM, error) {
 			pages:  make(map[memsim.PageID]*ipage),
 		}
 		n.cond = sync.NewCond(&n.mu)
+		n.gen.Store(1)
 		d.nodes[i] = n
 		d.registerHandlers(n)
 	}
@@ -238,8 +267,13 @@ func (n *node) bootstrapOwned(p memsim.PageID) *ipage {
 	e.state = pOwned
 	e.data = make([]byte, memsim.PageSize)
 	e.copyset = make(map[int]struct{})
+	n.bumpGen()
 	return e
 }
+
+// bumpGen retires every read-set entry. Call with n.mu held on every
+// page-state transition.
+func (n *node) bumpGen() { n.gen.Add(1) }
 
 func (d *DSM) registerHandlers(n *node) {
 	id := simnet.NodeID(n.id)
@@ -300,6 +334,7 @@ func (d *DSM) registerHandlers(n *node) {
 				e.copyset = nil
 				e.hint = int(from)
 				e.gen++
+				n.bumpGen()
 				return out, d.params.CPU.PageCopyNs
 			}
 			n.cond.Wait()
@@ -321,6 +356,7 @@ func (d *DSM) registerHandlers(n *node) {
 		e.state = pHint
 		e.hint = owner
 		e.gen++
+		n.bumpGen()
 		return nil, 0
 	})
 }
@@ -373,15 +409,22 @@ func (n *node) readFault(p memsim.PageID) {
 	for {
 		target := n.nextHop(p)
 		if target == n.id {
-			// We are the home of an untouched page: become initial owner.
+			// We are the home. An untouched page makes us its initial
+			// owner; a handler may instead have bootstrapped it since
+			// nextHop, and an entry holding a copy already serves the read
+			// (nextHop would keep naming us for it, so retrying could
+			// spin forever).
 			n.mu.Lock()
-			if n.pages[p] == nil {
+			e := n.pages[p]
+			if e == nil {
 				n.bootstrapOwned(p)
-				n.mu.Unlock()
+			}
+			done := e == nil || e.state != pHint
+			n.mu.Unlock()
+			if done {
 				return
 			}
-			n.mu.Unlock()
-			continue // a handler bootstrapped (and maybe granted) meanwhile
+			continue // granted away meanwhile: follow the new hint
 		}
 		n.mu.Lock()
 		gen := n.entry(p).gen
@@ -415,6 +458,7 @@ func (n *node) readFault(p memsim.PageID) {
 		e.state = pRead
 		e.data = resp[1:]
 		e.hint = target
+		n.bumpGen()
 		n.stats.PageFaults++
 		n.mu.Unlock()
 		if rec := d.rec; rec != nil && rec.Enabled() {
@@ -433,13 +477,18 @@ func (n *node) writeFault(p memsim.PageID) {
 	for {
 		target := n.nextHop(p)
 		if target == n.id {
+			// Home of the page: as in readFault, but only ownership
+			// satisfies a write.
 			n.mu.Lock()
-			if n.pages[p] == nil {
+			e := n.pages[p]
+			if e == nil {
 				n.bootstrapOwned(p)
-				n.mu.Unlock()
+			}
+			done := e == nil || e.state == pOwned
+			n.mu.Unlock()
+			if done {
 				return
 			}
-			n.mu.Unlock()
 			continue
 		}
 		n.mu.Lock()
@@ -475,6 +524,7 @@ func (n *node) writeFault(p memsim.PageID) {
 		e.copyset = make(map[int]struct{})
 		e.hint = -1
 		e.pending = len(members) > 0
+		n.bumpGen()
 		n.stats.PageFaults++
 		n.stats.HomeMigrations++ // ownership arrivals
 		n.mu.Unlock()
@@ -515,17 +565,56 @@ func (n *node) invalidateMembers(p memsim.PageID, members []int) {
 	}
 }
 
-// readableFrame returns the page entry with a valid local copy, n.mu
-// HELD; the caller reads and unlocks.
-func (n *node) readableFrame(p memsim.PageID) *ipage {
+// readable returns a valid local copy of page p for the owner goroutine
+// to read without n.mu. A hit in the read set costs one atomic load of
+// the generation and a four-way scan; a miss resolves the entry under
+// n.mu (faulting as needed) and records it.
+//
+// Reading the returned bytes after the lock is released keeps sequential
+// consistency: a read copy's bytes are never mutated (an invalidation
+// drops the slice, it does not overwrite it), an owned copy is written
+// only by this goroutine, and a remote write can only perform after its
+// invalidation or ownership grant has bumped this node's generation — so
+// a read that matched the generation is ordered before that write.
+func (n *node) readable(p memsim.PageID) []byte {
+	g := n.gen.Load()
+	for i := range n.rset {
+		if f := &n.rset[i]; f.page == p && f.gen == g {
+			return f.data
+		}
+	}
 	for {
 		n.mu.Lock()
-		e := n.pages[p]
-		if e != nil && e.state != pHint {
-			return e
+		if e := n.pages[p]; e != nil && e.state != pHint {
+			data := e.data
+			n.remember(readFrame{page: p, gen: n.gen.Load(), data: data})
+			n.mu.Unlock()
+			return data
 		}
 		n.mu.Unlock()
 		n.readFault(p)
+	}
+}
+
+// remember installs a read-set entry, replacing the page's old entry if
+// present, else the round-robin victim. Owner goroutine only.
+func (n *node) remember(f readFrame) {
+	for i := range n.rset {
+		if n.rset[i].page == f.page {
+			n.rset[i] = f
+			return
+		}
+	}
+	n.rset[n.rnext] = f
+	n.rnext = (n.rnext + 1) % readWays
+}
+
+// countRead tallies one owner-side read access (and its CPU-cache miss)
+// outside n.mu; NodeStats folds the tallies in.
+func (n *node) countRead(words uint64, miss bool) {
+	n.reads += words
+	if miss {
+		n.misses++
 	}
 }
 
@@ -633,12 +722,17 @@ func (d *DSM) Compute(node int, flops uint64) {
 }
 
 // NodeStats implements platform.Substrate. HomeMigrations counts
-// ownership arrivals. Call only while the node's program is quiescent.
+// ownership arrivals. Call only while the node's program is quiescent
+// (or from the node's own goroutine): Reads and the read side of
+// CacheMisses are owner-side tallies.
 func (d *DSM) NodeStats(node int) platform.Stats {
 	n := d.nodes[node]
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.stats
+	s := n.stats
+	s.Reads += n.reads
+	s.CacheMisses += n.misses
+	return s
 }
 
 // ResetStats implements platform.Substrate. Quiescent use only.
@@ -646,6 +740,7 @@ func (d *DSM) ResetStats(node int) {
 	n := d.nodes[node]
 	n.mu.Lock()
 	n.stats = platform.Stats{}
+	n.reads, n.misses = 0, 0
 	n.mu.Unlock()
 }
 
@@ -663,15 +758,8 @@ func (d *DSM) ReadF64(nodeID int, a memsim.Addr) float64 {
 	n := d.access(nodeID)
 	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
 	p := memsim.PageOf(a)
-	miss := n.touchLocal(p)
-	e := n.readableFrame(p)
-	v := memsim.GetF64(e.data, memsim.Offset(a))
-	n.stats.Reads++
-	if miss {
-		n.stats.CacheMisses++
-	}
-	n.mu.Unlock()
-	return v
+	n.countRead(1, n.touchLocal(p))
+	return memsim.GetF64(n.readable(p), memsim.Offset(a))
 }
 
 // WriteF64 implements platform.Substrate.
@@ -694,15 +782,8 @@ func (d *DSM) ReadI64(nodeID int, a memsim.Addr) int64 {
 	n := d.access(nodeID)
 	d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs)
 	p := memsim.PageOf(a)
-	miss := n.touchLocal(p)
-	e := n.readableFrame(p)
-	v := memsim.GetI64(e.data, memsim.Offset(a))
-	n.stats.Reads++
-	if miss {
-		n.stats.CacheMisses++
-	}
-	n.mu.Unlock()
-	return v
+	n.countRead(1, n.touchLocal(p))
+	return memsim.GetI64(n.readable(p), memsim.Offset(a))
 }
 
 // WriteI64 implements platform.Substrate.
@@ -732,14 +813,8 @@ func (d *DSM) ReadBytes(nodeID int, a memsim.Addr, buf []byte) {
 		}
 		d.clocks[nodeID].AdvanceCat(vclock.CatMemory, d.params.CPU.AccessNs*
 			vclock.Duration(1+chunk/memsim.WordSize))
-		miss := n.touchLocal(p)
-		e := n.readableFrame(p)
-		copy(buf[:chunk], e.data[off:off+chunk])
-		n.stats.Reads++
-		if miss {
-			n.stats.CacheMisses++
-		}
-		n.mu.Unlock()
+		n.countRead(1, n.touchLocal(p))
+		copy(buf[:chunk], n.readable(p)[off:off+chunk])
 		buf = buf[chunk:]
 		a += memsim.Addr(chunk)
 	}

@@ -3,6 +3,7 @@ package ivy
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"hamster/internal/consengine"
 	"hamster/internal/memsim"
@@ -314,5 +315,90 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	}
 	if d.NodeStats(0).PageFaults != 1 {
 		t.Fatalf("page faults = %d", d.NodeStats(0).PageFaults)
+	}
+}
+
+// TestHomeFaultAfterRemoteBootstrap: a remote read request bootstraps an
+// untouched page at its home between the home's own fault check and its
+// fault loop. The loop must then see that its entry already serves the
+// access instead of asking itself for the page forever.
+func TestHomeFaultAfterRemoteBootstrap(t *testing.T) {
+	d := newDSM(t, 2)
+	r, err := d.Alloc(memsim.PageSize, "x", memsim.Fixed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := memsim.PageOf(r.Base)
+	d.ReadF64(1, r.Base) // the home's handler bootstraps the page
+	done := make(chan struct{})
+	go func() {
+		home := d.nodes[0]
+		home.readFault(p)
+		home.writeFault(p)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("home node's fault loop livelocked on a page it already owns")
+	}
+}
+
+// TestReadSetRetiredByTransitions: a read-set hit must never outlive the
+// copy it points at — a remote write's invalidation, a lost ownership, a
+// composition-layer InvalidatePages and a write fault's fresh copy each
+// retire it, and the next read sees the current value.
+func TestReadSetRetiredByTransitions(t *testing.T) {
+	d := newDSM(t, 3)
+	r, err := d.Alloc(memsim.PageSize, "x", memsim.Fixed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(id int, want float64) {
+		t.Helper()
+		for i := 0; i < 3; i++ { // the first read may fault; the rest hit
+			if got := d.ReadF64(id, r.Base); got != want {
+				t.Fatalf("node %d read %v, want %v", id, got, want)
+			}
+		}
+	}
+	d.WriteF64(0, r.Base, 1)
+	read(1, 1)
+	read(0, 1)
+	d.WriteF64(2, r.Base, 2) // invalidates node 1's copy, takes node 0's ownership
+	read(1, 2)
+	read(0, 2)
+	d.WriteF64(1, r.Base, 3) // node 1's read copy becomes an owned copy
+	read(1, 3)
+	d.WriteF64(1, r.Base, 4) // owner write hit after a read-set hit
+	read(1, 4)
+	read(2, 4)
+	faults := d.NodeStats(2).PageFaults
+	d.InvalidatePages(2, []memsim.PageID{memsim.PageOf(r.Base)})
+	read(2, 4)
+	if got := d.NodeStats(2).PageFaults; got != faults+1 {
+		t.Fatalf("node 2 faults %d after InvalidatePages, want %d (the dropped copy must refetch)", got, faults+1)
+	}
+	if s := d.NodeStats(1); s.Reads != 12 {
+		t.Fatalf("node 1 counted %d reads, want 12", s.Reads)
+	}
+}
+
+// readSink keeps the benchmarked reads from being optimized away.
+var readSink float64
+
+// BenchmarkReadHit is the per-word read of a valid local copy: one clock
+// charge, one CPU-cache touch, and a read-set hit.
+func BenchmarkReadHit(b *testing.B) {
+	d := newDSM(b, 2)
+	r, err := d.Alloc(memsim.PageSize, "readhit", memsim.Fixed, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.ReadF64(1, r.Base) // fetch once; every timed read hits the copy
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		readSink = d.ReadF64(1, r.Base)
 	}
 }

@@ -248,6 +248,7 @@ func (d *DSM) InvalidatePages(nodeID int, pages []memsim.PageID) {
 			e.state = pHint
 			e.data = nil
 			e.gen++
+			n.bumpGen()
 			n.stats.Invalidations++
 		}
 	}

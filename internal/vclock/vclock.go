@@ -25,6 +25,7 @@ package vclock
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -94,7 +95,8 @@ func (c Category) String() string {
 }
 
 // Breakdown is a per-category snapshot of one clock's accumulated time.
-// At quiescence Total() equals the clock's Now() exactly — the invariant
+// A clock's Now() is by definition the sum of its buckets, so
+// Breakdown().Total() == Now() holds by construction — the invariant
 // internal/perfmon's attribution test enforces on every substrate.
 type Breakdown struct {
 	Compute  Duration
@@ -167,20 +169,33 @@ func (d Duration) Micros() float64 { return float64(d) / 1e3 }
 // node (thread programming models forward calls between nodes) may charge
 // the same clock: their Advance calls accumulate, which is exactly the
 // behavior of work serializing on one CPU.
+//
+// The clock keeps no separate total: Now() is the sum of the four local
+// attribution buckets plus the stolen bucket, so an owner charge is one
+// atomic add and attribution can never disagree with the clock. The
+// struct is padded to 128 bytes because substrates allocate their
+// per-node clocks back to back; unpadded, neighbouring nodes' clocks
+// would share a cache line (and the adjacent line the hardware
+// prefetcher pairs with it), and every per-word charge would bounce that
+// line between the cores running the two nodes.
 type Clock struct {
-	local  atomic.Uint64 // accumulated execution charges
-	stolen atomic.Uint64 // asynchronous protocol-handler charges
-
-	// cats splits local into attribution buckets. Every mutation of
-	// local pairs with exactly one cats add of the same amount, so at
-	// quiescence sum(cats) == local exactly. The buckets never feed back
-	// into Now(): attribution cannot perturb the cost model.
+	// cats holds the owner charges, one bucket per local category.
 	cats [localCategories]atomic.Uint64
+	// stolen holds asynchronous protocol-handler charges (CatStolen).
+	stolen atomic.Uint64
+	// jump serializes AdvanceToCat so concurrent forward jumps apply
+	// exactly one delta (see AdvanceToCat).
+	jump sync.Mutex
+	_    [clockPad]byte
 }
+
+// clockPad fills Clock out to 128 bytes (two cache lines).
+const clockPad = 128 - (int(localCategories)+1)*8 - 8
 
 // Now returns the node's current virtual time, including stolen cycles.
 func (c *Clock) Now() Time {
-	return Time(c.local.Load() + c.stolen.Load())
+	return Time(c.cats[CatCompute].Load() + c.cats[CatMemory].Load() +
+		c.cats[CatProtocol].Load() + c.cats[CatNetwork].Load() + c.stolen.Load())
 }
 
 // Advance moves the clock forward by d, attributed to CatCompute (the
@@ -193,7 +208,6 @@ func (c *Clock) Advance(d Duration) {
 // given category. cat must be a local category (not CatStolen — stolen
 // charges arrive via Steal).
 func (c *Clock) AdvanceCat(cat Category, d Duration) {
-	c.local.Add(uint64(d))
 	c.cats[cat].Add(uint64(d))
 }
 
@@ -207,22 +221,21 @@ func (c *Clock) AdvanceTo(t Time) {
 
 // AdvanceToCat moves the clock forward so that Now() >= t, attributing
 // the applied delta (if any) to the given category.
+//
+// Jumps are serialized per clock: the delta is computed from Now() and
+// added while holding the jump mutex, so two concurrent AdvanceTo(t1) and
+// AdvanceTo(t2) end at exactly max(t1, t2) — the later one sees the
+// earlier one's delta and applies only the remainder. An Advance or Steal
+// landing between the read and the add is simply ordered after the jump.
 func (c *Clock) AdvanceToCat(cat Category, t Time) {
-	for {
-		st := c.stolen.Load()
-		if uint64(t) <= st {
-			return
-		}
-		want := uint64(t) - st
-		cur := c.local.Load()
-		if want <= cur {
-			return
-		}
-		if c.local.CompareAndSwap(cur, want) {
-			c.cats[cat].Add(want - cur)
-			return
-		}
+	if t <= c.Now() {
+		return
 	}
+	c.jump.Lock()
+	if now := c.Now(); t > now {
+		c.cats[cat].Add(uint64(t - now))
+	}
+	c.jump.Unlock()
 }
 
 // Steal charges d nanoseconds of asynchronous handler work to the node.
@@ -238,10 +251,10 @@ func (c *Clock) Stolen() Duration {
 	return Duration(c.stolen.Load())
 }
 
-// Breakdown snapshots the per-category attribution. Read it at
-// quiescence (after an SPMD join): then Breakdown().Total() == Now()
-// exactly. Mid-run snapshots are monotone per bucket but may be torn
-// across buckets.
+// Breakdown snapshots the per-category attribution. Every bucket only
+// grows, so a snapshot taken while other goroutines charge the clock
+// lands between the Now() readings taken before and after it; with no
+// concurrent charge, Breakdown().Total() == Now() exactly.
 func (c *Clock) Breakdown() Breakdown {
 	return Breakdown{
 		Compute:  Duration(c.cats[CatCompute].Load()),
@@ -262,18 +275,13 @@ func (c *Clock) Restore(b Breakdown) {
 	c.cats[CatMemory].Store(uint64(b.Memory))
 	c.cats[CatProtocol].Store(uint64(b.Protocol))
 	c.cats[CatNetwork].Store(uint64(b.Network))
-	c.local.Store(uint64(b.Compute + b.Memory + b.Protocol + b.Network))
 	c.stolen.Store(uint64(b.Stolen))
 }
 
 // Reset returns the clock (and its attribution) to time zero. Must not
 // race with other use.
 func (c *Clock) Reset() {
-	c.local.Store(0)
-	c.stolen.Store(0)
-	for i := range c.cats {
-		c.cats[i].Store(0)
-	}
+	c.Restore(Breakdown{})
 }
 
 // Max returns the larger of two times.

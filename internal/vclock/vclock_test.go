@@ -1,7 +1,9 @@
 package vclock
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -318,6 +320,31 @@ func BenchmarkClockAdvance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Advance(1)
 	}
+}
+
+// BenchmarkClockAdvanceParallel charges clocks allocated back to back
+// the way every substrate allocates its per-node clocks. Goroutine g of
+// P owns clocks g, g+P, g+2P, ... and cycles through them, so every
+// pair of neighbouring clocks is charged by two different goroutines at
+// once, as neighbouring nodes' clocks are. With -cpu 2 the per-op cost
+// must stay near half of BenchmarkClockAdvance; when neighbouring clocks
+// share a cache line again it rises several-fold.
+func BenchmarkClockAdvanceParallel(b *testing.B) {
+	clocks := make([]*Clock, 64)
+	for i := range clocks {
+		clocks[i] = &Clock{}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	var next atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		g := int(next.Add(1)-1) % procs
+		for i := g; pb.Next(); {
+			clocks[i].AdvanceCat(CatMemory, 1)
+			if i += procs; i >= len(clocks) {
+				i = g
+			}
+		}
+	})
 }
 
 func BenchmarkVLockUncontended(b *testing.B) {
